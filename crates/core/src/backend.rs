@@ -33,13 +33,13 @@
 //! Newton–Raphson step, and true 16-lane AVX-512 bodies. Those are
 //! tolerance-validated against the exact reference, not bit-compared.
 
-use std::any::TypeId;
-
 use chambolle_par::simd::{self, SimdLevel};
 use chambolle_telemetry::{names, Telemetry};
 
 use crate::kernels::{self, BandHalo};
 use crate::real::Real;
+#[cfg(target_arch = "x86_64")]
+use crate::real::{f32_slice, f32_slice_mut};
 
 /// One implementation of the fused row kernels.
 ///
@@ -222,32 +222,6 @@ impl KernelBackend {
         kernels::fused_band_iteration_on(
             *self, px_band, py_band, v_band, w, h, r0, halo, inv_theta, step_ratio, term_a, term_b,
         );
-    }
-}
-
-/// Reinterprets `&[R]` as `&[f32]` iff `R` *is* `f32`.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn f32_slice<R: Real>(s: &[R]) -> Option<&[f32]> {
-    if TypeId::of::<R>() == TypeId::of::<f32>() {
-        // SAFETY: the TypeId check proves R == f32, so element layout,
-        // length and lifetime all carry over unchanged.
-        Some(unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<f32>(), s.len()) })
-    } else {
-        None
-    }
-}
-
-/// Reinterprets `&mut [R]` as `&mut [f32]` iff `R` *is* `f32`.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn f32_slice_mut<R: Real>(s: &mut [R]) -> Option<&mut [f32]> {
-    if TypeId::of::<R>() == TypeId::of::<f32>() {
-        // SAFETY: the TypeId check proves R == f32; the mutable borrow is
-        // passed through exclusively.
-        Some(unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<f32>(), s.len()) })
-    } else {
-        None
     }
 }
 

@@ -3,10 +3,12 @@
 //! A [`CancelToken`] is a cheap, clonable handle shared between the party
 //! that wants to stop a solve (a service dispatcher, a UI, a watchdog) and
 //! the iteration loop doing the work. The loop polls [`CancelToken::check`]
-//! at **iteration boundaries** — between Chambolle fixed-point iterations,
-//! between tiled rounds, between TV-L1 warps — so a cancelled solve never
-//! leaves a half-written grid behind: every observable state is one the
-//! uncancelled algorithm would also have passed through.
+//! at **round boundaries** — between rounds of at most
+//! [`TEMPORAL_FUSION_DEPTH`](crate::schedule::TEMPORAL_FUSION_DEPTH)
+//! Chambolle iterations, between tiled rounds of `K`, between TV-L1 warps —
+//! so a cancelled solve never leaves a half-written grid behind: every
+//! observable state is one the uncancelled algorithm would also have passed
+//! through.
 //!
 //! Two things cancel a token:
 //!
@@ -131,7 +133,7 @@ impl CancelToken {
         self.check().is_err()
     }
 
-    /// The poll the iteration loops call at iteration boundaries.
+    /// The poll the iteration loops call at round boundaries.
     ///
     /// # Errors
     ///

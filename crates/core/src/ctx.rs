@@ -6,8 +6,9 @@
 //! carries **all** execution policy — worker pool, telemetry registry,
 //! cancellation token and [`KernelBackend`] — and every solve family
 //! exposes a single `*_with_ctx` entry point taking it. The historical
-//! twins survive as thin wrappers that build the equivalent context and
-//! delegate, so existing callers keep their exact behavior (and bits).
+//! twins are gone; the remaining context-free conveniences
+//! ([`chambolle_denoise`](crate::chambolle_denoise) and friends) build an
+//! inert context and delegate.
 //!
 //! [`ExecCtx::default`] is fully inert: no pool (sequential execution),
 //! disabled telemetry (a single branch per probe), no cancellation. The
@@ -332,7 +333,10 @@ impl ExecCtx {
         self
     }
 
-    /// Polls `cancel` at iteration boundaries.
+    /// Polls `cancel` between rounds: at most
+    /// [`TEMPORAL_FUSION_DEPTH`](crate::schedule::TEMPORAL_FUSION_DEPTH)
+    /// iterations apart (`K` apart on the tiled solver). After a cancel the
+    /// dual field is a state the uncancelled run also passes through.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
         self

@@ -9,7 +9,7 @@
 //! as `u = v − θ·div p` the gap simplifies to `TV(u) + ⟨∇u, p⟩`.
 
 use chambolle_imaging::Grid;
-use chambolle_telemetry::{names, Telemetry};
+use chambolle_telemetry::names;
 
 use crate::cancel::Cancelled;
 use crate::ctx::ExecCtx;
@@ -174,40 +174,21 @@ pub fn chambolle_denoise_monitored<R: Real>(
         .expect("an inert context carries no cancellation token")
 }
 
-/// [`chambolle_denoise_monitored`] with instrumentation: the whole solve is
-/// wrapped in a `solver.monitored_denoise` span, every gap check emits a
-/// `solver.convergence_point` event (iteration/energy/gap payload), and on
-/// return the registry holds `solver.iterations`, `solver.gap_checks`, and
-/// the final energy/gap gauges.
-///
-/// With a disabled [`Telemetry`] handle this is the exact code path of the
-/// plain function — every hook is a single branch on an empty `Option` —
-/// so the output is bit-identical to an uninstrumented solve (asserted by
-/// `tests/telemetry_noop.rs`).
-///
-/// # Panics
-///
-/// Panics if `check_every == 0`.
-#[deprecated(note = "use `chambolle_denoise_monitored_with_ctx` with \
-            `ExecCtx::default().with_telemetry(telemetry.clone())`")]
-pub fn chambolle_denoise_monitored_with_telemetry<R: Real>(
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    check_every: u32,
-    gap_tolerance: f64,
-    telemetry: &Telemetry,
-) -> SolveReport<R> {
-    let ctx = ExecCtx::default().with_telemetry(telemetry.clone());
-    chambolle_denoise_monitored_with_ctx(v, params, check_every, gap_tolerance, &ctx)
-        .expect("a context without a token cannot be cancelled")
-}
-
 /// [`chambolle_denoise_monitored`] under an [`ExecCtx`]: the iteration
 /// chunks between gap checks run on the context's pool and kernel backend,
-/// the instrumentation of
-/// [`chambolle_denoise_monitored_with_telemetry`] records into the
-/// context's telemetry, and the context's cancellation token is polled at
-/// iteration boundaries.
+/// and the context's cancellation token is polled between rounds of at
+/// most [`TEMPORAL_FUSION_DEPTH`](crate::schedule::TEMPORAL_FUSION_DEPTH)
+/// iterations.
+///
+/// With telemetry attached, the whole solve is wrapped in a
+/// `solver.monitored_denoise` span, every gap check emits a
+/// `solver.convergence_point` event (iteration/energy/gap payload), and on
+/// return the registry holds `solver.iterations`, `solver.gap_checks`, and
+/// the final energy/gap gauges. With a disabled
+/// [`Telemetry`](chambolle_telemetry::Telemetry) handle every
+/// hook is a single branch on an empty `Option`, so the output is
+/// bit-identical to an uninstrumented solve (asserted by
+/// `tests/telemetry_noop.rs`).
 ///
 /// The gap and energy evaluations themselves are sequential left-to-right
 /// `f64` sums on every backend and pool size (see [`crate::backend`]), so
@@ -278,6 +259,7 @@ pub fn chambolle_denoise_monitored_with_ctx<R: Real>(
 mod tests {
     use super::*;
     use crate::solver::chambolle_iterate;
+    use chambolle_telemetry::Telemetry;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn noisy(w: usize, h: usize, seed: u64) -> Grid<f64> {

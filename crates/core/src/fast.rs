@@ -25,61 +25,32 @@
 //! - run true **16-lane AVX-512F bodies** (the Exact tier delegates AVX-512
 //!   to its AVX2 kernels rather than auditing bit-exactness on a third
 //!   vector width);
-//! - fuse K iterations into one register- and cache-resident
-//!   [`temporal_sweep`] — the paper's loop decomposition carried from the
-//!   PE array down to the cache hierarchy: K staggered copies of the fused
-//!   single-pass machine share one traversal of the frame, so K iterations
-//!   cost one pass over memory instead of K.
+//! - fuse the term row and the dual update into **one row step**
+//!   (`fused_term_update_row`), so the two per-row passes share one
+//!   traversal.
 //!
-//! Within one backend the Fast tier is deterministic, and the banded
-//! parallel solver keeps it **thread-count invariant** (bands run the same
-//! full-width row kernels against snapshotted halos). It is *not*
+//! Which iterations run together is not this module's business: every
+//! solve, at both tiers and for every pool size, runs K-deep temporally
+//! fused wavefronts over row bands on the engine in [`crate::schedule`],
+//! which picks these row steps at the Fast tier and the backend's exact
+//! rows at the Exact tier.
+//!
+//! Within one backend the Fast tier is deterministic and **thread-count
+//! invariant**: every band runs the same full-width row kernels, so the
+//! band split, fusion depth and pool size never change a bit. It is *not*
 //! bit-comparable across backends or tile shapes — that is exactly the
 //! guarantee the tier trades away. The fast tier applies to the `f32`
 //! production kernels; `f64` solves always run exact.
 //!
 //! The scalar fast bodies are the tier's *portable reference*: SSE2 (which
-//! lacks FMA) and non-x86 hosts run them, and [`temporal_sweep`] is pinned
-//! bit-identical to K sequential fast passes on every backend.
+//! lacks FMA) and non-x86 hosts run them.
 
 use crate::backend::KernelBackend;
 use crate::ctx::NumericsPolicy;
-use crate::kernels::{self, BandHalo, BelowHalo};
-use crate::real::Real;
+use crate::kernels::{self, BandHalo};
+use crate::real::{f32_slice, f32_slice_mut, Real};
+use crate::schedule::{band_iteration, FastStep};
 use std::any::TypeId;
-
-/// How many iterations [`temporal_sweep`] fuses per pass over the frame.
-///
-/// Each fused level needs two term rows and keeps a ~3-row window of
-/// `px`/`py` warm; at depth 8 the whole working set of a 512-wide frame is
-/// ~46 rows of `f32` (~92 KiB) — inside L2 with room to spare, while the
-/// unfused loop streams the full frame from memory every iteration. Depth
-/// is a pure scheduling choice: the sweep is bit-identical to `k`
-/// sequential fast passes at every depth, so raising it trades nothing
-/// but cache headroom for fewer trips over the frame.
-pub const TEMPORAL_FUSION_DEPTH: u32 = 8;
-
-/// Reinterprets `&[R]` as `&[f32]` iff `R` *is* `f32`.
-pub(crate) fn f32_slice<R: Real>(s: &[R]) -> Option<&[f32]> {
-    if TypeId::of::<R>() == TypeId::of::<f32>() {
-        // SAFETY: the TypeId check proves R == f32, so element layout,
-        // length and lifetime all carry over unchanged.
-        Some(unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<f32>(), s.len()) })
-    } else {
-        None
-    }
-}
-
-/// Reinterprets `&mut [R]` as `&mut [f32]` iff `R` *is* `f32`.
-pub(crate) fn f32_slice_mut<R: Real>(s: &mut [R]) -> Option<&mut [f32]> {
-    if TypeId::of::<R>() == TypeId::of::<f32>() {
-        // SAFETY: the TypeId check proves R == f32; the mutable borrow is
-        // passed through exclusively.
-        Some(unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<f32>(), s.len()) })
-    } else {
-        None
-    }
-}
 
 /// The vector body a backend's fast tier actually runs, after runtime
 /// feature checks. SSE2 has no FMA, so its fast tier is the scalar fast
@@ -236,10 +207,10 @@ fn update_p_row_fast_scalar(
 /// Per-cell math is identical to running [`compute_term_row_fast`] then
 /// [`update_p_row_fast`] (the AVX2 and AVX-512 bodies replicate their lane
 /// operations verbatim; other levels literally call them), so fusion is
-/// pure scheduling: priming rows, banded runs and temporal sweeps all stay
+/// pure scheduling: priming rows, banded runs and wavefronts all stay
 /// bitwise coherent with each other.
 #[allow(clippy::too_many_arguments)] // the flat-slice shape, as elsewhere
-fn fused_term_update_row(
+pub(crate) fn fused_term_update_row(
     backend: KernelBackend,
     px_next: &[f32],
     py_next: &[f32],
@@ -303,9 +274,8 @@ fn fused_term_update_row(
 
 /// One fast-tier Chambolle iteration over rows `[r0, r0 + rows)` — the
 /// fast twin of [`kernels::fused_band_iteration_on`], with the same band,
-/// halo and term-ring structure (so the banded parallel solver stays
-/// thread-count invariant at the Fast tier: every band runs these same
-/// full-width row kernels against old-`p` halo snapshots).
+/// halo and term-ring structure, and the per-iteration reference the
+/// engine's Fast-tier wavefronts are pinned bit-identical to.
 #[allow(clippy::too_many_arguments)] // the flat-slice shape is the point
 pub fn fused_band_iteration_fast(
     backend: KernelBackend,
@@ -321,88 +291,14 @@ pub fn fused_band_iteration_fast(
     term_a: &mut [f32],
     term_b: &mut [f32],
 ) {
-    assert!(w > 0, "band width must be positive");
-    let rows = px_band.len() / w;
-    let r1 = r0 + rows;
-    assert!(rows > 0 && px_band.len() == rows * w, "px band misshapen");
-    assert_eq!(py_band.len(), rows * w, "py band misshapen");
-    assert_eq!(v_band.len(), rows * w, "v band misshapen");
-    assert!(r1 <= h, "band exceeds frame height");
-    assert_eq!(
-        halo.py_above.is_some(),
-        r0 > 0,
-        "py_above halo required exactly when the band starts mid-frame"
-    );
-    assert_eq!(
-        halo.below.is_some(),
-        r1 < h,
-        "below halo required exactly when the band ends mid-frame"
-    );
-    assert!(
-        term_a.len() == w && term_b.len() == w,
-        "term buffers need width w"
-    );
-
-    let mut cur: &mut [f32] = term_a;
-    let mut next: &mut [f32] = term_b;
-    compute_term_row_fast(
+    let step = FastStep {
         backend,
-        &px_band[..w],
-        &py_band[..w],
-        halo.py_above,
-        &v_band[..w],
         inv_theta,
-        r0 + 1 == h,
-        cur,
+        step_ratio,
+    };
+    band_iteration(
+        &step, px_band, py_band, v_band, w, h, r0, halo, term_a, term_b,
     );
-    for i in 0..rows {
-        let y = r0 + i;
-        let lo = i * w;
-        if y + 1 < h {
-            if i + 1 < rows {
-                let (px_here, px_next) = px_band[lo..lo + 2 * w].split_at_mut(w);
-                let (py_here, py_next) = py_band[lo..lo + 2 * w].split_at_mut(w);
-                fused_term_update_row(
-                    backend,
-                    px_next,
-                    py_next,
-                    &v_band[lo + w..lo + 2 * w],
-                    inv_theta,
-                    y + 2 == h,
-                    cur,
-                    next,
-                    step_ratio,
-                    px_here,
-                    py_here,
-                );
-            } else {
-                let below = halo.below.as_ref().expect("below halo checked above");
-                fused_term_update_row(
-                    backend,
-                    below.px,
-                    below.py,
-                    below.v,
-                    inv_theta,
-                    y + 2 == h,
-                    cur,
-                    next,
-                    step_ratio,
-                    &mut px_band[lo..lo + w],
-                    &mut py_band[lo..lo + w],
-                );
-            }
-            std::mem::swap(&mut cur, &mut next);
-        } else {
-            update_p_row_fast(
-                backend,
-                cur,
-                None,
-                step_ratio,
-                &mut px_band[lo..lo + w],
-                &mut py_band[lo..lo + w],
-            );
-        }
-    }
 }
 
 /// Tier dispatch for one term row: the Fast tier's FMA term kernel for
@@ -435,166 +331,6 @@ pub(crate) fn term_row_tiered<R: Real>(
         return;
     }
     backend.compute_term_row(px_row, py_row, py_above, v_row, inv_theta, last_row, out);
-}
-
-/// Tier dispatch for one band iteration: routes `f32` bands to
-/// [`fused_band_iteration_fast`] when the context asks for the Fast tier,
-/// and everything else (the Exact tier, and all `f64` solves — which are
-/// always exact) to [`kernels::fused_band_iteration_on`] via the backend.
-#[allow(clippy::too_many_arguments)] // mirrors the band kernels' shape
-pub(crate) fn band_iteration_tiered<R: Real>(
-    backend: KernelBackend,
-    numerics: NumericsPolicy,
-    px_band: &mut [R],
-    py_band: &mut [R],
-    v_band: &[R],
-    w: usize,
-    h: usize,
-    r0: usize,
-    halo: BandHalo<'_, R>,
-    inv_theta: R,
-    step_ratio: R,
-    term_a: &mut [R],
-    term_b: &mut [R],
-) {
-    if numerics == NumericsPolicy::Fast && TypeId::of::<R>() == TypeId::of::<f32>() {
-        let halo_f32 = BandHalo {
-            py_above: halo.py_above.map(|s| f32_slice(s).expect("R is f32")),
-            below: halo.below.as_ref().map(|b| BelowHalo {
-                px: f32_slice(b.px).expect("R is f32"),
-                py: f32_slice(b.py).expect("R is f32"),
-                v: f32_slice(b.v).expect("R is f32"),
-            }),
-        };
-        // `f32 → f64 → f32` round-trips exactly, so the tier change never
-        // perturbs the solve parameters.
-        fused_band_iteration_fast(
-            backend,
-            f32_slice_mut(px_band).expect("R is f32"),
-            f32_slice_mut(py_band).expect("R is f32"),
-            f32_slice(v_band).expect("R is f32"),
-            w,
-            h,
-            r0,
-            halo_f32,
-            inv_theta.to_f64() as f32,
-            step_ratio.to_f64() as f32,
-            f32_slice_mut(term_a).expect("R is f32"),
-            f32_slice_mut(term_b).expect("R is f32"),
-        );
-        return;
-    }
-    backend.fused_band_iteration(
-        px_band, py_band, v_band, w, h, r0, halo, inv_theta, step_ratio, term_a, term_b,
-    );
-}
-
-/// `k` fast-tier Chambolle iterations in **one pass over the frame**: the
-/// register/cache-level instance of the paper's loop decomposition.
-///
-/// Runs `k` staggered copies of the fused single-pass machine over the
-/// shared `px`/`py` arrays. At sweep step `t`, fusion level `l`
-/// (0-indexed) updates row `t − l`: level `l` reads row `t − l + 1`, which
-/// level `l − 1` finished earlier in the *same* step, so a one-row stagger
-/// is exactly the dependency distance of the dual update. Each level rolls
-/// its own pair of term-row buffers, giving a working set of `2k` term
-/// rows plus a ~`k + 2`-row window of `px`/`py`/`v` — cache-resident for
-/// production widths, so `k` iterations stream the frame once instead of
-/// `k` times.
-///
-/// **Bit-identical to `k` sequential calls** of
-/// [`fused_band_iteration_fast`] over the whole frame on the same backend:
-/// every level performs the identical per-cell operation order on
-/// identical inputs (level `l` only ever reads level `l − 1`'s final
-/// values). The sweep is sequential-only — the banded parallel fast path
-/// stays per-iteration so halo snapshots keep it thread-count invariant.
-///
-/// # Panics
-///
-/// Panics if the slices are inconsistent with `w`/`h` or `k == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn temporal_sweep(
-    backend: KernelBackend,
-    px: &mut [f32],
-    py: &mut [f32],
-    v: &[f32],
-    w: usize,
-    h: usize,
-    inv_theta: f32,
-    step_ratio: f32,
-    k: u32,
-) {
-    assert!(k > 0, "temporal sweep needs at least one fused iteration");
-    assert!(w > 0 && h > 0, "frame must be non-empty");
-    assert_eq!(px.len(), w * h, "px misshapen");
-    assert_eq!(py.len(), w * h, "py misshapen");
-    assert_eq!(v.len(), w * h, "v misshapen");
-
-    let k = k as usize;
-    // Per-level term rings: `bufs[l]` holds the level's (cur, next) pair;
-    // `flip[l]` says which is which (a swap is a parity toggle, so the two
-    // buffers can live side by side without aliasing gymnastics).
-    let mut bufs: Vec<(Vec<f32>, Vec<f32>)> =
-        (0..k).map(|_| (vec![0.0f32; w], vec![0.0f32; w])).collect();
-    let mut flip = vec![false; k];
-
-    for t in 0..h + k - 1 {
-        for (l, (a, b)) in bufs.iter_mut().enumerate() {
-            let Some(y) = t.checked_sub(l) else { break };
-            if y >= h {
-                continue;
-            }
-            let (cur, next) = if flip[l] { (b, a) } else { (a, b) };
-            let lo = y * w;
-            if y == 0 {
-                // The level's first term row, from level l−1's final state
-                // of row 0 (the raw input for l = 0).
-                compute_term_row_fast(
-                    backend,
-                    &px[..w],
-                    &py[..w],
-                    None,
-                    &v[..w],
-                    inv_theta,
-                    h == 1,
-                    cur,
-                );
-            }
-            if y + 1 < h {
-                // Term for row y+1: px/py of row y+1 are level l−1 state
-                // (updated earlier this same step), py of row y is still
-                // pre-update for this level — exactly the old-p discipline
-                // of the single-pass machine, enforced inside the fused
-                // step by its read-before-write ordering.
-                let (px_here, px_next) = px[lo..lo + 2 * w].split_at_mut(w);
-                let (py_here, py_next) = py[lo..lo + 2 * w].split_at_mut(w);
-                fused_term_update_row(
-                    backend,
-                    px_next,
-                    py_next,
-                    &v[lo + w..lo + 2 * w],
-                    inv_theta,
-                    y + 2 == h,
-                    cur,
-                    next,
-                    step_ratio,
-                    px_here,
-                    py_here,
-                );
-                // Ring swap: next's term row becomes cur for row y + 1.
-                flip[l] = !flip[l];
-            } else {
-                update_p_row_fast(
-                    backend,
-                    cur,
-                    None,
-                    step_ratio,
-                    &mut px[lo..lo + w],
-                    &mut py[lo..lo + w],
-                );
-            }
-        }
-    }
 }
 
 /// The x86-64 fast-tier intrinsic bodies (AVX2+FMA and AVX-512F).
@@ -1421,11 +1157,13 @@ mod tests {
     }
 
     #[test]
-    fn temporal_sweep_bit_identical_to_sequential_fast_passes() {
-        // The tentpole invariant: K-fused sweeps perform exactly the same
-        // per-cell operations in the same order as K sequential fast
-        // passes, on every backend and for every frame shape — including
-        // frames shorter than the fusion depth.
+    fn wavefront_bit_identical_to_sequential_fast_passes() {
+        // The engine's invariant at the Fast tier: a depth-k wavefront
+        // performs exactly the per-cell operations, in the same order, of
+        // k sequential fast passes, on every backend and for every frame
+        // shape — including frames shorter than the fusion depth — and
+        // whether the rows sit in one block or in three segments.
+        use crate::schedule::{Rows, StepPolicy};
         for backend in backends() {
             for (w, h) in [
                 (13usize, 11usize),
@@ -1437,37 +1175,48 @@ mod tests {
                 (19, 3),
                 (23, 5),
             ] {
-                for k in [1u32, 2, 3, 4, 7] {
+                for k in [1u32, 2, 3, 4, 7, 8] {
                     let (p0, v) = random_state(w, h, 500 + w as u64 + k as u64);
                     let mut p_seq = p0.clone();
                     for _ in 0..k {
                         fast_full_iteration(backend, &mut p_seq, &v, 4.0, 0.125);
                     }
+                    let params = crate::ChambolleParams::new(0.25, 0.03125, k).unwrap();
+                    let step = StepPolicy::new(&params, backend, NumericsPolicy::Fast);
+                    let mut rings = Vec::new();
                     let mut p_fused = p0.clone();
-                    temporal_sweep(
-                        backend,
-                        p_fused.px.as_mut_slice(),
-                        p_fused.py.as_mut_slice(),
+                    step.sweep(
+                        Rows::whole(p_fused.px.as_mut_slice(), w),
+                        Rows::whole(p_fused.py.as_mut_slice(), w),
                         v.as_slice(),
-                        w,
-                        h,
-                        4.0,
-                        0.125,
-                        k,
+                        k as usize,
+                        &mut rings,
                     );
-                    let bits = |g: &Grid<f32>| {
-                        g.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-                    };
-                    assert_eq!(
-                        bits(&p_fused.px),
-                        bits(&p_seq.px),
-                        "{backend:?} {w}x{h} k={k} px"
+                    // The same rows split as [above | own | below].
+                    let (a, b) = (h / 3 * w, (h - h / 4) * w);
+                    let mut px = p0.px.as_slice().to_vec();
+                    let mut py = p0.py.as_slice().to_vec();
+                    let (mut px_above, mut px_below) = (px[..a].to_vec(), px[b..].to_vec());
+                    let (mut py_above, mut py_below) = (py[..a].to_vec(), py[b..].to_vec());
+                    step.sweep(
+                        Rows::new(&mut px_above, &mut px[a..b], &mut px_below, w),
+                        Rows::new(&mut py_above, &mut py[a..b], &mut py_below, w),
+                        v.as_slice(),
+                        k as usize,
+                        &mut rings,
                     );
-                    assert_eq!(
-                        bits(&p_fused.py),
-                        bits(&p_seq.py),
-                        "{backend:?} {w}x{h} k={k} py"
-                    );
+                    let bits = |s: &[f32]| s.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    let seq_px = bits(p_seq.px.as_slice());
+                    let seq_py = bits(p_seq.py.as_slice());
+                    let tag = format!("{backend:?} {w}x{h} k={k}");
+                    assert_eq!(bits(p_fused.px.as_slice()), seq_px, "{tag} px");
+                    assert_eq!(bits(p_fused.py.as_slice()), seq_py, "{tag} py");
+                    assert_eq!(bits(&px_above), seq_px[..a], "{tag} split px above");
+                    assert_eq!(bits(&px[a..b]), seq_px[a..b], "{tag} split px own");
+                    assert_eq!(bits(&px_below), seq_px[b..], "{tag} split px below");
+                    assert_eq!(bits(&py_above), seq_py[..a], "{tag} split py above");
+                    assert_eq!(bits(&py[a..b]), seq_py[a..b], "{tag} split py own");
+                    assert_eq!(bits(&py_below), seq_py[b..], "{tag} split py below");
                 }
             }
         }

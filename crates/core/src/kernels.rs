@@ -17,11 +17,11 @@
 //!   updated, so every term value is derived from old-`p` data exactly as
 //!   the two-pass reference does.
 //!
-//! Bands only read their own rows plus a fixed halo (old `py` row `r0−1`
-//! above; old `px`/`py` rows `r1` below), which callers snapshot before
-//! running bands concurrently — that is what makes the parallel solver in
-//! [`crate::solver`] bit-identical to the sequential one for every thread
-//! count.
+//! A band only reads its own rows plus a fixed halo (old `py` row `r0−1`
+//! above; old `px`/`py` rows `r1` below), which the caller snapshots
+//! before running bands concurrently. The solvers themselves run K
+//! iterations per pass on the engine in [`crate::schedule`], which uses
+//! the same row kernels.
 //!
 //! The kernels implement the [`crate::solver::Convention::Standard`] sign
 //! convention (the convergent one every production path uses); the literal
@@ -30,6 +30,7 @@
 
 use crate::backend::KernelBackend;
 use crate::real::Real;
+use crate::schedule::{band_iteration, ExactStep};
 
 /// `term = div p − v/θ` for one row.
 ///
@@ -242,87 +243,14 @@ pub fn fused_band_iteration_on<R: Real>(
     term_a: &mut [R],
     term_b: &mut [R],
 ) {
-    assert!(w > 0, "band width must be positive");
-    let rows = px_band.len() / w;
-    let r1 = r0 + rows;
-    assert!(rows > 0 && px_band.len() == rows * w, "px band misshapen");
-    assert_eq!(py_band.len(), rows * w, "py band misshapen");
-    assert_eq!(v_band.len(), rows * w, "v band misshapen");
-    assert!(r1 <= h, "band exceeds frame height");
-    assert_eq!(
-        halo.py_above.is_some(),
-        r0 > 0,
-        "py_above halo required exactly when the band starts mid-frame"
-    );
-    assert_eq!(
-        halo.below.is_some(),
-        r1 < h,
-        "below halo required exactly when the band ends mid-frame"
-    );
-    assert!(
-        term_a.len() == w && term_b.len() == w,
-        "term buffers need width w"
-    );
-
-    let mut cur: &mut [R] = term_a;
-    let mut next: &mut [R] = term_b;
-    backend.compute_term_row(
-        &px_band[..w],
-        &py_band[..w],
-        halo.py_above,
-        &v_band[..w],
+    let step = ExactStep {
+        backend,
         inv_theta,
-        r0 + 1 == h,
-        cur,
+        step_ratio,
+    };
+    band_iteration(
+        &step, px_band, py_band, v_band, w, h, r0, halo, term_a, term_b,
     );
-    for i in 0..rows {
-        let y = r0 + i;
-        let lo = i * w;
-        if y + 1 < h {
-            // Term for row y+1 from old-p values: px/py row y+1 (own band or
-            // the below-halo snapshot) and py row y — which is only updated
-            // after this, so it is still old here.
-            if i + 1 < rows {
-                let (py_here, py_next) = py_band[lo..].split_at(w);
-                backend.compute_term_row(
-                    &px_band[lo + w..lo + 2 * w],
-                    &py_next[..w],
-                    Some(py_here),
-                    &v_band[lo + w..lo + 2 * w],
-                    inv_theta,
-                    y + 2 == h,
-                    next,
-                );
-            } else {
-                let below = halo.below.as_ref().expect("below halo checked above");
-                backend.compute_term_row(
-                    below.px,
-                    below.py,
-                    Some(&py_band[lo..lo + w]),
-                    below.v,
-                    inv_theta,
-                    y + 2 == h,
-                    next,
-                );
-            }
-            backend.update_p_row(
-                cur,
-                Some(next),
-                step_ratio,
-                &mut px_band[lo..lo + w],
-                &mut py_band[lo..lo + w],
-            );
-            std::mem::swap(&mut cur, &mut next);
-        } else {
-            backend.update_p_row(
-                cur,
-                None,
-                step_ratio,
-                &mut px_band[lo..lo + w],
-                &mut py_band[lo..lo + w],
-            );
-        }
-    }
 }
 
 #[cfg(test)]

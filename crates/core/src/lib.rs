@@ -17,9 +17,13 @@
 //! - [`guard`] — the guarded solver pipeline: input scrubbing, divergence
 //!   detection over the duality gap, and graceful degradation to the
 //!   sequential reference with a structured [`RecoveryReport`];
+//! - [`schedule`] — the one schedule engine every solve runs on: row bands
+//!   with a K / K+1 halo, each running K iterations as one cache-resident
+//!   wavefront (the paper's loop decomposition, applied once);
 //! - [`cancel`] — cooperative cancellation and deadlines ([`CancelToken`])
-//!   polled at iteration boundaries by the `*_cancellable` solver entry
-//!   points, the hooks a long-running request service builds on;
+//!   that every `*_with_ctx` entry point polls between rounds of at most
+//!   [`TEMPORAL_FUSION_DEPTH`](schedule::TEMPORAL_FUSION_DEPTH) iterations,
+//!   the hooks a long-running request service builds on;
 //! - [`backend`] — the [`KernelBackend`] abstraction over the fused row
 //!   kernels: scalar, SSE2 and AVX2 implementations selected at runtime
 //!   (override with `CHAMBOLLE_BACKEND`), all bit-identical by contract;
@@ -28,8 +32,8 @@
 //!   `*_with_ctx` entry point per solve family;
 //! - [`fast`] — the [`NumericsPolicy::Fast`](ctx::NumericsPolicy) tier:
 //!   FMA/approximate-reciprocal row kernels (AVX2+FMA and true 16-lane
-//!   AVX-512F) and the K-deep temporally fused sweep, validated against the
-//!   Exact tier by energy/duality-gap tolerance instead of bit equality.
+//!   AVX-512F), validated against the Exact tier by energy/duality-gap
+//!   tolerance instead of bit equality.
 //!
 //! # Examples
 //!
@@ -71,6 +75,7 @@ pub mod kernels;
 pub mod ops;
 mod params;
 mod real;
+pub mod schedule;
 pub mod solver;
 pub mod tiling;
 pub mod tvl1;
@@ -99,25 +104,8 @@ pub use solver::{
     TvDenoiser,
 };
 pub use tiling::{
-    chambolle_iterate_tiled, chambolle_iterate_tiled_spawn_baseline,
-    chambolle_iterate_tiled_spawn_baseline_with_ctx, chambolle_iterate_tiled_with_ctx, Tile,
-    TileConfig, TilePlan, TiledSolver,
-};
-// Deprecated per-axis entry-point variants, re-exported for source
-// compatibility. Each is a thin wrapper over its `*_with_ctx` canonical
-// form; new code should construct an `ExecCtx` instead.
-#[allow(deprecated)]
-pub use diagnostics::chambolle_denoise_monitored_with_telemetry;
-#[allow(deprecated)]
-pub use guard::guarded_denoise_cancellable;
-#[allow(deprecated)]
-pub use solver::{
-    chambolle_denoise_cancellable, chambolle_iterate_cancellable, chambolle_iterate_parallel,
-};
-#[allow(deprecated)]
-pub use tiling::{
-    chambolle_iterate_tiled_cancellable, chambolle_iterate_tiled_with_pool,
-    chambolle_iterate_tiled_with_telemetry,
+    chambolle_iterate_tiled, chambolle_iterate_tiled_with_ctx, Tile, TileConfig, TilePlan,
+    TiledSolver,
 };
 pub use tvl1::{threshold_step, FlowError, FlowStats, TvL1Solver, VideoFlowTracker};
 pub use weighted::{

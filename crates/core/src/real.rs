@@ -2,6 +2,7 @@
 //! matching the hardware's precision class) or `f64` (for numerical tests
 //! where floating-point noise would obscure invariants).
 
+use std::any::TypeId;
 use std::fmt::Debug;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
@@ -119,6 +120,30 @@ impl Real for f64 {
     #[inline]
     fn is_finite(self) -> bool {
         self.is_finite()
+    }
+}
+
+/// Reinterprets `&[R]` as `&[f32]` iff `R` *is* `f32`.
+#[inline]
+pub(crate) fn f32_slice<R: Real>(s: &[R]) -> Option<&[f32]> {
+    if TypeId::of::<R>() == TypeId::of::<f32>() {
+        // SAFETY: the TypeId check proves R == f32, so element layout,
+        // length and lifetime all carry over unchanged.
+        Some(unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<f32>(), s.len()) })
+    } else {
+        None
+    }
+}
+
+/// Reinterprets `&mut [R]` as `&mut [f32]` iff `R` *is* `f32`.
+#[inline]
+pub(crate) fn f32_slice_mut<R: Real>(s: &mut [R]) -> Option<&mut [f32]> {
+    if TypeId::of::<R>() == TypeId::of::<f32>() {
+        // SAFETY: the TypeId check proves R == f32; the mutable borrow is
+        // passed through exclusively.
+        Some(unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<f32>(), s.len()) })
+    } else {
+        None
     }
 }
 

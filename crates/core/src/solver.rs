@@ -11,24 +11,24 @@
 //! py    = (py + τ/θ·Term2) / (1 + τ/θ·|∇|)
 //! ```
 //!
-//! and finally `u = v − θ·div p`. The per-cell arithmetic lives in
-//! [`compute_term_into`] / [`update_p_inplace`], which the tiled parallel
-//! solver reuses verbatim so that tiled and sequential results are
-//! **bit-identical** on profitable cells.
+//! and finally `u = v − θ·div p`. The two-pass functions
+//! [`compute_term_into`] / [`update_p_inplace`] state that arithmetic
+//! directly; they are the reference every schedule is pinned against.
+//! Solves run the same arithmetic through the row kernels of
+//! [`crate::kernels`] on the engine in [`crate::schedule`], which is
+//! **bit-identical** to them at the Exact tier.
 
 use std::sync::Arc;
 
 use chambolle_imaging::Grid;
-use chambolle_par::{ThreadPool, UnsafeSharedSlice};
+use chambolle_par::ThreadPool;
 
-use crate::backend::KernelBackend;
-use crate::cancel::{CancelToken, Cancelled};
-use crate::ctx::{ExecCtx, NumericsPolicy};
-use crate::fast;
-use crate::kernels::{BandHalo, BelowHalo};
+use crate::cancel::Cancelled;
+use crate::ctx::ExecCtx;
 use crate::ops::{div_x_at, div_y_at, total_variation};
 use crate::params::{ChambolleParams, InvalidParamsError};
 use crate::real::Real;
+use crate::schedule;
 
 /// The dual variable `p = (px, py)` of the Chambolle iteration
 /// (the paper's intermediate `pxu`/`pyu` storage).
@@ -165,30 +165,29 @@ pub fn chambolle_iterate<R: Real>(
 }
 
 /// The consolidated iteration entry point: runs `iterations` Chambolle
-/// iterations on `p` under the execution policy in `ctx`.
+/// iterations on `p` under the execution policy in `ctx`, on the schedule
+/// engine of [`crate::schedule`]:
 ///
-/// - no pool (or a 1-thread pool) → the fused sequential sweep;
-/// - a pool → the banded parallel sweep of [`chambolle_iterate_parallel`],
-///   bit-identical to sequential for every thread count;
-/// - the kernel rows run on `ctx.backend()` (bit-identical on every
-///   backend under the default Exact tier);
-/// - `ctx.numerics()` selects the numerics tier: `Exact` (default) keeps
-///   the bit-identity contract; `Fast` routes `f32` solves through the
-///   tolerance-validated kernels of [`crate::fast`] — sequentially as
-///   K-deep temporally fused sweeps, in parallel as fast band iterations
-///   (still thread-count invariant). `f64` solves always run exact;
-/// - a cancellation token, if attached, is polled between iterations
-///   (between fused sweeps at the Fast tier).
+/// - the frame is split into full-width row bands, one per pool worker
+///   (one band without a pool), and every band runs rounds of up to
+///   [`TEMPORAL_FUSION_DEPTH`](crate::schedule::TEMPORAL_FUSION_DEPTH)
+///   iterations as one cache-resident wavefront — one pool dispatch per
+///   round;
+/// - the kernel rows run on `ctx.backend()`;
+/// - `ctx.numerics()` selects the numerics tier: `Exact` (default) is
+///   bit-identical to the sequential two-pass reference for every backend
+///   and pool size; `Fast` routes `f32` solves through the
+///   tolerance-validated row steps of [`crate::fast`] (still thread-count
+///   invariant). `f64` solves always run exact;
+/// - a cancellation token, if attached, is polled between rounds.
 ///
-/// Every historical twin (`chambolle_iterate`,
-/// [`chambolle_iterate_cancellable`], [`chambolle_iterate_parallel`])
-/// delegates here.
+/// [`chambolle_iterate`] delegates here.
 ///
 /// # Errors
 ///
 /// Returns [`Cancelled`] if `ctx`'s token reports cancellation before all
 /// `iterations` complete; `p` then holds the state after the last completed
-/// iteration.
+/// round — a state the uncancelled run also passes through.
 ///
 /// # Panics
 ///
@@ -200,182 +199,7 @@ pub fn chambolle_iterate_with_ctx<R: Real>(
     iterations: u32,
     ctx: &ExecCtx,
 ) -> Result<(), Cancelled> {
-    iterate_impl(
-        p,
-        v,
-        params,
-        iterations,
-        ctx.pool().map(Arc::as_ref),
-        ctx.cancel(),
-        ctx.backend(),
-        ctx.numerics(),
-    )
-}
-
-/// The one implementation behind every iteration entry point.
-#[allow(clippy::too_many_arguments)] // the execution-policy fan-in point
-fn iterate_impl<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    pool: Option<&ThreadPool>,
-    token: Option<&CancelToken>,
-    backend: KernelBackend,
-    numerics: NumericsPolicy,
-) -> Result<(), Cancelled> {
-    assert_eq!(p.dims(), v.dims(), "dual field and v must match in size");
-    let (w, h) = v.dims();
-    if w == 0 || h == 0 {
-        return Ok(());
-    }
-    let inv_theta = R::ONE / R::from_f32(params.theta);
-    let step_ratio = R::from_f32(params.step_ratio());
-
-    let bands = pool.map_or(1, ThreadPool::threads).min(h);
-    if bands <= 1 {
-        // Sequential Fast tier: fuse iterations K at a time into single
-        // cache-resident passes over the frame. (`f64` solves never take
-        // this branch — the fast tier is an `f32` contract.)
-        if numerics == NumericsPolicy::Fast {
-            if let (Some(px), Some(py), Some(vs)) = (
-                fast::f32_slice_mut(p.px.as_mut_slice()),
-                fast::f32_slice_mut(p.py.as_mut_slice()),
-                fast::f32_slice(v.as_slice()),
-            ) {
-                let it = 1.0f32 / params.theta;
-                let st = params.step_ratio();
-                let mut remaining = iterations;
-                while remaining > 0 {
-                    if let Some(token) = token {
-                        token.check()?;
-                    }
-                    let k = remaining.min(fast::TEMPORAL_FUSION_DEPTH);
-                    fast::temporal_sweep(backend, px, py, vs, w, h, it, st, k);
-                    remaining -= k;
-                }
-                return Ok(());
-            }
-        }
-        let (mut ta, mut tb) = (vec![R::ZERO; w], vec![R::ZERO; w]);
-        for _ in 0..iterations {
-            if let Some(token) = token {
-                token.check()?;
-            }
-            backend.fused_band_iteration(
-                p.px.as_mut_slice(),
-                p.py.as_mut_slice(),
-                v.as_slice(),
-                w,
-                h,
-                0,
-                BandHalo {
-                    py_above: None,
-                    below: None,
-                },
-                inv_theta,
-                step_ratio,
-                &mut ta,
-                &mut tb,
-            );
-        }
-        return Ok(());
-    }
-    let pool = pool.expect("bands > 1 implies a pool");
-
-    // Deterministic band bounds (the partition never depends on scheduling;
-    // the result does not even depend on the partition — every band computes
-    // from old-p data only).
-    let bounds: Vec<usize> = (0..=bands).map(|b| b * h / bands).collect();
-    // Old-p halo rows copied fresh each iteration before the bands launch:
-    // for the boundary at row r, py[r-1] (read by the band below it) and
-    // px[r]/py[r] (read by the band above it).
-    let mut snap_py_above = vec![vec![R::ZERO; w]; bands - 1];
-    let mut snap_px_below = vec![vec![R::ZERO; w]; bands - 1];
-    let mut snap_py_below = vec![vec![R::ZERO; w]; bands - 1];
-    // Per-band term-row scratch, allocated once and reused every iteration.
-    let mut term_scratch = vec![(vec![R::ZERO; w], vec![R::ZERO; w]); bands];
-
-    for _ in 0..iterations {
-        if let Some(token) = token {
-            token.check()?;
-        }
-        for b in 0..bands - 1 {
-            let r = bounds[b + 1];
-            snap_py_above[b].copy_from_slice(p.py.row(r - 1));
-            snap_px_below[b].copy_from_slice(p.px.row(r));
-            snap_py_below[b].copy_from_slice(p.py.row(r));
-        }
-        let px_view = UnsafeSharedSlice::new(p.px.as_mut_slice());
-        let py_view = UnsafeSharedSlice::new(p.py.as_mut_slice());
-        let term_view = UnsafeSharedSlice::new(&mut term_scratch);
-        pool.parallel_tiles("par.solver.iteration", bands, |_, b| {
-            let (r0, r1) = (bounds[b], bounds[b + 1]);
-            // SAFETY: band row ranges are disjoint, and each band index runs
-            // exactly once; foreign rows are only read through the halo
-            // snapshots. Each band's scratch entry is touched by exactly the
-            // task that owns index b.
-            let (px_band, py_band, scratch) = unsafe {
-                (
-                    px_view.slice_mut(r0 * w, (r1 - r0) * w),
-                    py_view.slice_mut(r0 * w, (r1 - r0) * w),
-                    &mut term_view.slice_mut(b, 1)[0],
-                )
-            };
-            let halo = BandHalo {
-                py_above: (r0 > 0).then(|| snap_py_above[b - 1].as_slice()),
-                below: (r1 < h).then(|| BelowHalo {
-                    px: snap_px_below[b].as_slice(),
-                    py: snap_py_below[b].as_slice(),
-                    v: v.row(r1),
-                }),
-            };
-            fast::band_iteration_tiered(
-                backend,
-                numerics,
-                px_band,
-                py_band,
-                &v.as_slice()[r0 * w..r1 * w],
-                w,
-                h,
-                r0,
-                halo,
-                inv_theta,
-                step_ratio,
-                &mut scratch.0,
-                &mut scratch.1,
-            );
-        });
-    }
-    Ok(())
-}
-
-/// [`chambolle_iterate`] with a cooperative cancellation poll between
-/// iterations.
-///
-/// On cancellation `p` holds the state after the last *completed* iteration —
-/// exactly a state the uncancelled run would also have passed through — so a
-/// caller may resume, discard, or recover `u` from it safely.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] if `token` reports cancellation before all
-/// `iterations` complete.
-///
-/// # Panics
-///
-/// Panics if `p` and `v` dimensions differ.
-#[deprecated(note = "use `chambolle_iterate_with_ctx` with \
-            `ExecCtx::default().with_cancel(token.clone())`")]
-pub fn chambolle_iterate_cancellable<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    token: &CancelToken,
-) -> Result<(), Cancelled> {
-    let ctx = ExecCtx::default().with_cancel(token.clone());
-    chambolle_iterate_with_ctx(p, v, params, iterations, &ctx)
+    schedule::iterate(p, v, params, iterations, ctx)
 }
 
 /// Recovers the primal solution `u = v − θ·div p` (Algorithm 1, line 9).
@@ -408,8 +232,7 @@ pub fn chambolle_denoise<R: Real>(
 /// dual start under the execution policy in `ctx`
 /// (see [`chambolle_iterate_with_ctx`]).
 ///
-/// Every historical twin ([`chambolle_denoise`],
-/// [`chambolle_denoise_cancellable`]) delegates here.
+/// [`chambolle_denoise`] delegates here.
 ///
 /// A context carrying a [`DegradationPolicy`](crate::DegradationPolicy)
 /// caps the iteration budget at `ctx.effective_iterations(params.iterations)`
@@ -431,26 +254,6 @@ pub fn chambolle_denoise_with_ctx<R: Real>(
     chambolle_iterate_with_ctx(&mut p, v, params, iterations, ctx)?;
     let u = recover_u(v, &p, params.theta);
     Ok((u, p))
-}
-
-/// [`chambolle_denoise`] with a cooperative cancellation poll between
-/// iterations.
-///
-/// Bit-identical to [`chambolle_denoise`] when it runs to completion.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] if `token` reports cancellation before the solve
-/// finishes; no partial output is produced.
-#[deprecated(note = "use `chambolle_denoise_with_ctx` with \
-            `ExecCtx::default().with_cancel(token.clone())`")]
-pub fn chambolle_denoise_cancellable<R: Real>(
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    token: &CancelToken,
-) -> Result<(Grid<R>, DualField<R>), Cancelled> {
-    let ctx = ExecCtx::default().with_cancel(token.clone());
-    chambolle_denoise_with_ctx(v, params, &ctx)
 }
 
 /// The ROF primal energy `TV(u) + ‖u − v‖² / (2θ)` the iteration minimizes.
@@ -606,33 +409,6 @@ impl TvDenoiser for SequentialSolver {
     fn name(&self) -> &str {
         "sequential"
     }
-}
-
-/// Runs `iterations` Chambolle iterations on `p` with the fused row kernels
-/// of [`crate::kernels`], row-banded across the pool's workers.
-///
-/// The result is **bit-identical** to [`chambolle_iterate`] for every thread
-/// count: each band reads only its own rows plus halo rows (`py` above,
-/// `px`/`py` below) that are snapshotted from old-`p` state before the bands
-/// launch, so every term value is derived from exactly the data the
-/// sequential two-pass reference uses. No intermediate term grid is
-/// allocated — each band rolls two term-row buffers.
-///
-/// # Panics
-///
-/// Panics if `p` and `v` dimensions differ.
-#[deprecated(note = "use `chambolle_iterate_with_ctx` with \
-            `ExecCtx::default().with_pool(Arc::clone(pool))`")]
-pub fn chambolle_iterate_parallel<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    pool: &Arc<ThreadPool>,
-) {
-    let ctx = ExecCtx::default().with_pool(Arc::clone(pool));
-    chambolle_iterate_with_ctx(p, v, params, iterations, &ctx)
-        .expect("an inert context carries no cancellation token");
 }
 
 /// The pool-backed fused-kernel solver: bit-identical to

@@ -9,6 +9,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use chambolle_telemetry::{names, Telemetry};
 use chambolle_tune::{
@@ -27,6 +28,17 @@ fn tmp(name: &str) -> PathBuf {
         std::process::id()
     ));
     p
+}
+
+/// Serializes every load in this binary: [`fallback_count`] is
+/// process-wide, so a load on another test thread between
+/// [`assert_total`]'s two reads would break its `before + 1` check.
+fn serialized() -> MutexGuard<'static, ()> {
+    static LOADS: Mutex<()> = Mutex::new(());
+    // The guard protects no data, so a poisoned lock is still usable.
+    LOADS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// An arbitrary *valid* schedule drawn from the given raw knob values
@@ -79,6 +91,7 @@ fn assert_total(text: &[u8], label: &str) -> Result<(), TestCaseError> {
     let path = tmp(label);
     std::fs::write(&path, text).expect("write corrupted profile");
     let telemetry = Telemetry::null();
+    let _serial = serialized();
     let before = fallback_count();
     let (tunables, err) = load_with_fallback(path.to_str(), &telemetry);
     std::fs::remove_file(&path).ok();
@@ -168,6 +181,7 @@ fn version_bumped_schema_falls_back() {
     let path = tmp("schema_bump");
     std::fs::write(&path, bumped).unwrap();
     let telemetry = Telemetry::null();
+    let _serial = serialized();
     let (tunables, err) = load_with_fallback(path.to_str(), &telemetry);
     std::fs::remove_file(&path).ok();
 
@@ -197,6 +211,7 @@ fn v1_profile_without_numerics_knob_falls_back_totally() {
     let path = tmp("v1_legacy");
     std::fs::write(&path, &text).unwrap();
     let telemetry = Telemetry::null();
+    let _serial = serialized();
     let (tunables, err) = load_with_fallback(path.to_str(), &telemetry);
     std::fs::remove_file(&path).ok();
 
@@ -223,6 +238,7 @@ fn v2_profile_missing_numerics_knob_falls_back() {
     let text = text.replace(&format!("{numerics_line}\n"), "");
     let path = tmp("v2_missing_numerics");
     std::fs::write(&path, &text).unwrap();
+    let _serial = serialized();
     let (tunables, err) = load_with_fallback(path.to_str(), &Telemetry::disabled());
     std::fs::remove_file(&path).ok();
 
@@ -244,6 +260,7 @@ fn wrong_fingerprint_falls_back() {
     let path = tmp("wrong_host");
     profile.save(&path).unwrap();
     let telemetry = Telemetry::null();
+    let _serial = serialized();
     let (tunables, err) = load_with_fallback(path.to_str(), &telemetry);
     std::fs::remove_file(&path).ok();
 
@@ -271,6 +288,7 @@ fn valid_knobs_that_fail_validation_fall_back() {
         .replace("\"tile_height\": 88", "\"tile_height\": 4");
     let path = tmp("invalid_knobs");
     std::fs::write(&path, text).unwrap();
+    let _serial = serialized();
     let (tunables, err) = load_with_fallback(path.to_str(), &Telemetry::disabled());
     std::fs::remove_file(&path).ok();
 

@@ -13,8 +13,11 @@
 
 use std::sync::Arc;
 
+use chambolle::core::fast::fused_band_iteration_fast;
+use chambolle::core::kernels::BandHalo;
 use chambolle::core::{
-    chambolle_denoise_with_ctx, rof_energy, ChambolleParams, ExecCtx, KernelBackend, NumericsPolicy,
+    chambolle_denoise_with_ctx, recover_u, rof_energy, ChambolleParams, DualField, ExecCtx,
+    KernelBackend, NumericsPolicy,
 };
 use chambolle::imaging::{Grid, NoiseTexture, Scene};
 use chambolle::par::ThreadPool;
@@ -119,22 +122,69 @@ fn fast_tier_stays_within_tolerance_under_threading() {
     }
 }
 
+/// `params.iterations` whole-frame Fast passes, one iteration at a time:
+/// the per-iteration reference the fused, banded Fast solve must match.
+fn fast_per_iteration_reference(
+    v: &Grid<f32>,
+    params: &ChambolleParams,
+    backend: KernelBackend,
+) -> Grid<f32> {
+    let (w, h) = v.dims();
+    let mut p = DualField::zeros(w, h);
+    let (mut ta, mut tb) = (vec![0.0f32; w], vec![0.0f32; w]);
+    for _ in 0..params.iterations {
+        let no_halo = BandHalo {
+            py_above: None,
+            below: None,
+        };
+        fused_band_iteration_fast(
+            backend,
+            p.px.as_mut_slice(),
+            p.py.as_mut_slice(),
+            v.as_slice(),
+            w,
+            h,
+            0,
+            no_halo,
+            1.0 / params.theta,
+            params.step_ratio(),
+            &mut ta,
+            &mut tb,
+        );
+    }
+    recover_u(v, &p, params.theta)
+}
+
 #[test]
 fn fast_tier_is_thread_count_invariant_per_backend() {
-    // Not a tolerance: for a fixed backend the banded Fast path runs the
-    // same full-width row kernels regardless of the band split, so thread
-    // count must not change a single bit.
-    let v = NoiseTexture::new(29).render(110, 70);
-    let params = ChambolleParams::with_iterations(18);
-    for backend in supported_backends() {
-        let one = solve(&v, &params, NumericsPolicy::Fast, backend, Some(1));
-        for threads in [2usize, 3, 4] {
-            let many = solve(&v, &params, NumericsPolicy::Fast, backend, Some(threads));
-            assert_eq!(
-                one.as_slice(),
-                many.as_slice(),
-                "{backend:?}: fast tier drifted between 1 and {threads} threads"
-            );
+    // Not a tolerance: for a fixed backend every band runs the same
+    // full-width row kernels, so neither the band split nor the fusion
+    // depth may change a single bit. The shapes put bands shorter than the
+    // depth at 8 threads; the budgets make partial, whole and ragged rounds.
+    let pools = [1usize, 2, 3, 4, 8].map(|n| Arc::new(ThreadPool::new(n)));
+    let cases = [(110usize, 70usize, 18u32)].into_iter().chain(
+        [(1usize, 1usize), (1, 9), (9, 1), (17, 13), (8, 31)]
+            .into_iter()
+            .flat_map(|(w, h)| [1u32, 7, 8, 9, 17].map(|n| (w, h, n))),
+    );
+    for (w, h, iterations) in cases {
+        let v = NoiseTexture::new(29).render(w, h);
+        let params = ChambolleParams::with_iterations(iterations);
+        for backend in supported_backends() {
+            let reference = fast_per_iteration_reference(&v, &params, backend);
+            for pool in &pools {
+                let ctx = ExecCtx::default()
+                    .with_numerics(NumericsPolicy::Fast)
+                    .with_backend(backend)
+                    .with_pool(Arc::clone(pool));
+                let (u, _) = chambolle_denoise_with_ctx(&v, &params, &ctx).expect("no token");
+                assert_eq!(
+                    reference.as_slice(),
+                    u.as_slice(),
+                    "{backend:?} {w}x{h} n={iterations}: fast tier drifted at {} threads",
+                    pool.threads()
+                );
+            }
         }
     }
 }

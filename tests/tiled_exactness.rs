@@ -5,13 +5,13 @@
 
 use std::sync::Arc;
 
+use chambolle::core::solver::{compute_term_into, update_p_inplace};
 use chambolle::core::{
-    chambolle_iterate_tiled_spawn_baseline, chambolle_iterate_tiled_with_ctx,
-    chambolle_iterate_with_ctx, recover_u, rof_energy, ChambolleParams, DualField, ExecCtx,
-    NumericsPolicy, ParallelSolver, SequentialSolver, TileConfig, TilePlan, TiledSolver,
-    TvDenoiser,
+    chambolle_iterate_tiled_with_ctx, chambolle_iterate_with_ctx, recover_u, rof_energy,
+    ChambolleParams, Convention, DualField, ExecCtx, NumericsPolicy, ParallelSolver,
+    SequentialSolver, TileConfig, TilePlan, TiledSolver, TvDenoiser,
 };
-use chambolle::imaging::{NoiseTexture, Scene};
+use chambolle::imaging::{Image, NoiseTexture, Scene};
 use chambolle::par::ThreadPool;
 
 /// Tiled-vs-sequential bit equality is the **Exact-tier** contract: the Fast
@@ -51,14 +51,55 @@ fn many_threads_agree() {
     }
 }
 
+/// The independent two-pass reference: Algorithm 1 as written, with a
+/// full-frame term grid per iteration and no schedule at all.
+fn two_pass_reference(v: &Image, params: &ChambolleParams) -> Image {
+    let (w, h) = v.dims();
+    let mut p = DualField::zeros(w, h);
+    let mut term = Image::new(w, h, 0.0);
+    for _ in 0..params.iterations {
+        compute_term_into(&p, v, 1.0 / params.theta, &mut term);
+        update_p_inplace(&mut p, &term, params.step_ratio(), Convention::Standard);
+    }
+    recover_u(v, &p, params.theta)
+}
+
 #[test]
 fn parallel_solver_matches_sequential_across_thread_counts() {
+    let solvers = [1usize, 2, 3, 8].map(ParallelSolver::new);
     let v = NoiseTexture::new(44).render(150, 110);
     let params = ChambolleParams::with_iterations(40);
     let reference = SequentialSolver::new().denoise(&v, &params);
-    for threads in [1usize, 2, 3, 8] {
-        let u = ParallelSolver::new(threads).denoise(&v, &params);
+    for (threads, solver) in [1usize, 2, 3, 8].iter().zip(&solvers) {
+        let u = solver.denoise(&v, &params);
         assert_eq!(reference.as_slice(), u.as_slice(), "threads={threads}");
+    }
+    // Exact solves against the two-pass reference: frames down to a single
+    // cell (at 8 threads every band is shorter than the fusion depth) and
+    // iteration counts around the depth (partial, whole and ragged rounds).
+    let cases = [(150usize, 110usize, 40u32)].into_iter().chain(
+        [(1usize, 1usize), (1, 9), (9, 1), (17, 13), (8, 31)]
+            .into_iter()
+            .flat_map(|(w, h)| [1u32, 7, 8, 9, 17].map(|n| (w, h, n))),
+    );
+    for (w, h, iterations) in cases {
+        let v = NoiseTexture::new(44).render(w, h);
+        let params = ChambolleParams::with_iterations(iterations);
+        let reference = two_pass_reference(&v, &params);
+        let u = SequentialSolver::new().denoise_with_ctx(&v, &params, &exact_ctx());
+        assert_eq!(
+            reference.as_slice(),
+            u.as_slice(),
+            "{w}x{h} n={iterations} sequential"
+        );
+        for (threads, solver) in [1usize, 2, 3, 8].iter().zip(&solvers) {
+            let u = solver.denoise_with_ctx(&v, &params, &exact_ctx());
+            assert_eq!(
+                reference.as_slice(),
+                u.as_slice(),
+                "{w}x{h} n={iterations} threads={threads}"
+            );
+        }
     }
 }
 
@@ -79,11 +120,6 @@ fn pooled_tiling_matches_sequential_across_threads_and_merge_factors() {
                 .expect("no token");
             let u = recover_u(&v, &p_tiled, params.theta);
             assert_eq!(u_seq.as_slice(), u.as_slice(), "threads={threads}, K={k}");
-
-            let mut p_base = DualField::zeros(130, 100);
-            chambolle_iterate_tiled_spawn_baseline(&mut p_base, &v, &params, 8, &cfg);
-            assert_eq!(p_seq.px.as_slice(), p_base.px.as_slice(), "baseline K={k}");
-            assert_eq!(p_seq.py.as_slice(), p_base.py.as_slice(), "baseline K={k}");
         }
     }
 }
