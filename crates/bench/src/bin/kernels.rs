@@ -19,9 +19,11 @@
 //! `avx2_speedup_vs_autovec` (AVX2 over the auto-vectorized scalar
 //! backend). The second is structurally modest on modern cores: the dual
 //! update is divider-bound, and 256-bit `div`/`sqrt` retire at the same
-//! per-element rate as 128-bit, so a bit-exact AVX2 kernel cannot beat an
-//! SSE-auto-vectorized baseline by more than ~1.3× there, and at 512×512
-//! the full-frame pass is L3-bandwidth-bound on top (see `DESIGN.md`).
+//! per-element rate as 128-bit, so a bit-exact AVX2 kernel beats an
+//! SSE-auto-vectorized baseline mainly by running the term and update
+//! passes in one traversal, which the scalar backend does not, and at
+//! 512×512 the full-frame pass is L3-bandwidth-bound on top (see
+//! `DESIGN.md`).
 //! The 1.5× acceptance gate therefore applies to the serial baseline;
 //! against the auto-vectorized one the gate is a parity sanity bound
 //! (≥0.95, catching dispatch regressions without flaking on noise).

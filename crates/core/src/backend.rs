@@ -202,6 +202,64 @@ impl KernelBackend {
         kernels::update_p_row(term_row, term_below, step_ratio, px_row, py_row);
     }
 
+    /// The Exact tier's row step: [`Self::compute_term_row`] of the next row
+    /// (whose `py_above` is `py_row`, read before it is overwritten) into
+    /// `next`, then [`Self::update_p_row`] of the current row against
+    /// `cur`/`next`. On AVX2 and AVX-512 `f32` rows both passes share one
+    /// traversal; the bits are those of the two calls on every backend.
+    #[allow(clippy::too_many_arguments)] // the flat-slice shape, as elsewhere
+    #[inline]
+    pub(crate) fn term_and_update_row<R: Real>(
+        &self,
+        px_next: &[R],
+        py_next: &[R],
+        v_next: &[R],
+        inv_theta: R,
+        next_is_last: bool,
+        cur: &[R],
+        next: &mut [R],
+        step_ratio: R,
+        px_row: &mut [R],
+        py_row: &mut [R],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if matches!(self, KernelBackend::Avx2 | KernelBackend::Avx512)
+            && cur.len() >= 2
+            && self.is_supported()
+        {
+            if let (Some(pxn), Some(pyn), Some(vn), Some(cur)) = (
+                f32_slice(px_next),
+                f32_slice(py_next),
+                f32_slice(v_next),
+                f32_slice(cur),
+            ) {
+                x86::fused_row(
+                    pxn,
+                    pyn,
+                    vn,
+                    inv_theta.to_f32(),
+                    next_is_last,
+                    cur,
+                    f32_slice_mut(next).expect("R proven to be f32"),
+                    step_ratio.to_f32(),
+                    f32_slice_mut(px_row).expect("R proven to be f32"),
+                    f32_slice_mut(py_row).expect("R proven to be f32"),
+                );
+                return;
+            }
+        }
+        self.compute_term_row(
+            px_next,
+            py_next,
+            Some(py_row),
+            v_next,
+            inv_theta,
+            next_is_last,
+            next,
+        );
+        self.update_p_row(cur, Some(next), step_ratio, px_row, py_row);
+    }
+
     /// [`kernels::fused_band_iteration`] with the term and update rows
     /// running on this backend. Bit-identical to the scalar reference.
     #[allow(clippy::too_many_arguments)] // mirrors the kernel's flat-slice shape
@@ -231,6 +289,18 @@ impl KernelBackend {
 /// per-lane operation order preserved exactly: no FMA contraction, no
 /// reassociation, negation as an IEEE sign-flip (so `-0.0` behaves as in
 /// the scalar code), and scalar handling for row edges and remainder lanes.
+///
+/// `fused_row` runs the AVX2 term and update rows as one traversal, the
+/// way the Fast tier's fused rows do. With no term row going through
+/// memory between the passes, an Exact row step is bound by the divider:
+/// one `vsqrtps` and two `vdivps` per 8 cells. On the bench host (2-vCPU
+/// Sapphire Rapids guest, ~2.2 GHz) those cost about 2.7 and 2.2 ns per
+/// YMM instruction, and the ZMM forms cost the same per lane. That is a
+/// floor of (2 × 2.2 + 2.7) / 8 ≈ 0.89 ns/px. One fused iteration over an
+/// XGA frame measures 0.95–1.0 ns/px at best, against 1.4–1.6 ns/px for
+/// the two passes in the same process. The divider is also why the AVX-512
+/// backend runs these bodies: a 16-lane fused step was bit-identical and
+/// no faster.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
@@ -328,6 +398,36 @@ mod x86 {
     const DY_INTERIOR: u8 = 2;
     const DY_LAST: u8 = 3;
 
+    /// Eight term cells from their `div_x` and `div_y` lanes:
+    /// `(dx + dy) − v·(1/θ)`, the scalar expression's op order. Shared by
+    /// the standalone and the fused AVX2 rows, so both round alike.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn term_lanes(dx: __m256, dy: __m256, v: __m256, it: __m256) -> __m256 {
+        _mm256_sub_ps(_mm256_add_ps(dx, dy), _mm256_mul_ps(v, it))
+    }
+
+    /// The dual update of eight cells from their forward differences,
+    /// returning the new `(px, py)`: `t1·t1 + t2·t2`, `√`, `1 + step·grad`,
+    /// then two IEEE divides, the scalar cell's op order. Shared by the
+    /// standalone and the fused AVX2 rows.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn update_lanes(
+        t1: __m256,
+        t2: __m256,
+        px: __m256,
+        py: __m256,
+        sv: __m256,
+    ) -> (__m256, __m256) {
+        let grad = _mm256_sqrt_ps(_mm256_add_ps(_mm256_mul_ps(t1, t1), _mm256_mul_ps(t2, t2)));
+        let denom = _mm256_add_ps(_mm256_set1_ps(1.0), _mm256_mul_ps(sv, grad));
+        (
+            _mm256_div_ps(_mm256_add_ps(px, _mm256_mul_ps(sv, t1)), denom),
+            _mm256_div_ps(_mm256_add_ps(py, _mm256_mul_ps(sv, t2)), denom),
+        )
+    }
+
     #[target_feature(enable = "avx2")]
     unsafe fn term_row_avx2(
         px: &[f32],
@@ -372,8 +472,7 @@ mod x86 {
         let w = out.len();
         let it = _mm256_set1_ps(inv_theta);
         out[0] = (px[0] + div_y.at(0)) - v[0] * inv_theta;
-        // One 8-lane tap shared by both the paired and the single loop; all
-        // ops per lane match the scalar expression order exactly.
+        // One 8-lane tap shared by both the paired and the single loop.
         //
         // SAFETY (of the closure body): every caller guarantees
         // `x + 8 <= w − 1 < len`, bounding every unaligned load including
@@ -394,11 +493,8 @@ mod x86 {
                 // (a `0.0 − a` subtraction would turn `−0.0` into `+0.0`).
                 _ => _mm256_xor_ps(_mm256_set1_ps(-0.0), _mm256_loadu_ps(above.as_ptr().add(x))),
             };
-            let vi = _mm256_mul_ps(_mm256_loadu_ps(v.as_ptr().add(x)), it);
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(x),
-                _mm256_sub_ps(_mm256_add_ps(dx, dy), vi),
-            );
+            let v = _mm256_loadu_ps(v.as_ptr().add(x));
+            _mm256_storeu_ps(out.as_mut_ptr().add(x), term_lanes(dx, dy, v, it));
         };
         let mut x = 1usize;
         // Two vectors per trip to amortize loop overhead; trips are
@@ -497,10 +593,7 @@ mod x86 {
     ) {
         let w = term.len();
         let sv = _mm256_set1_ps(step);
-        let one = _mm256_set1_ps(1.0);
-        // One 8-lane update; op order matches the scalar cell exactly:
-        // t1·t1 + t2·t2, √, 1 + step·grad — no FMA, so each lane rounds
-        // identically to the scalar reference.
+        // One 8-lane update.
         //
         // SAFETY (of the closure body): every caller guarantees
         // `x + 8 <= w − 1 < len`, bounding every unaligned load including
@@ -513,15 +606,12 @@ mod x86 {
             } else {
                 _mm256_setzero_ps()
             };
-            let grad = _mm256_sqrt_ps(_mm256_add_ps(_mm256_mul_ps(t1, t1), _mm256_mul_ps(t2, t2)));
-            let denom = _mm256_add_ps(one, _mm256_mul_ps(sv, grad));
-            let npx = _mm256_div_ps(
-                _mm256_add_ps(_mm256_loadu_ps(px.as_ptr().add(x)), _mm256_mul_ps(sv, t1)),
-                denom,
-            );
-            let npy = _mm256_div_ps(
-                _mm256_add_ps(_mm256_loadu_ps(py.as_ptr().add(x)), _mm256_mul_ps(sv, t2)),
-                denom,
+            let (npx, npy) = update_lanes(
+                t1,
+                t2,
+                _mm256_loadu_ps(px.as_ptr().add(x)),
+                _mm256_loadu_ps(py.as_ptr().add(x)),
+                sv,
             );
             _mm256_storeu_ps(px.as_mut_ptr().add(x), npx);
             _mm256_storeu_ps(py.as_mut_ptr().add(x), npy);
@@ -550,6 +640,146 @@ mod x86 {
             step,
             &mut px[x..],
             &mut py[x..],
+        );
+    }
+
+    /// The fused Exact row step of [`KernelBackend::term_and_update_row`];
+    /// the caller guarantees `cur.len() >= 2` and that AVX2 is supported on
+    /// this CPU.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn fused_row(
+        px_next: &[f32],
+        py_next: &[f32],
+        v_next: &[f32],
+        inv_theta: f32,
+        next_is_last: bool,
+        cur: &[f32],
+        next: &mut [f32],
+        step: f32,
+        px_row: &mut [f32],
+        py_row: &mut [f32],
+    ) {
+        let w = cur.len();
+        // The vector body's unchecked loads and stores rely on these.
+        let lens = [px_next, py_next, v_next, next, px_row, py_row].map(|s| s.len());
+        assert!(lens == [w; 6], "fused row slices need width w");
+        let f = if next_is_last {
+            fused_row_avx2::<true>
+        } else {
+            fused_row_avx2::<false>
+        };
+        // SAFETY: the caller checked `is_supported()` for Avx2 or Avx512,
+        // both of which include a runtime `is_x86_feature_detected!("avx2")`
+        // (see `SimdLevel`); the lengths are checked above.
+        unsafe {
+            f(
+                px_next, py_next, v_next, inv_theta, cur, next, step, px_row, py_row,
+            )
+        }
+    }
+
+    /// The next row's `div_y` at column `c`, read from `py_row` before the
+    /// update overwrites it: `−py_row[c]` below a last row, else
+    /// `py_next[c] − py_row[c]` (the last and interior shapes of
+    /// [`kernels::compute_term_row`]).
+    #[inline(always)]
+    fn next_dy<const LAST: bool>(py_next: &[f32], py_row: &[f32], c: usize) -> f32 {
+        if LAST {
+            -py_row[c]
+        } else {
+            py_next[c] - py_row[c]
+        }
+    }
+
+    /// One fused Exact row step on YMM. The traversal is that of the Fast
+    /// tier's `fused_row_avx2`: each trip computes term cells `x+1..=x+8`
+    /// of the next row and updates cells `x..x+8` of the current one,
+    /// whose `t2` takes `next[x..x+8]` from the fresh term vector through a
+    /// one-lane `vperm2f128` + `palignr` carry, so no term row is reloaded.
+    /// Its lanes run the standalone rows' `term_lanes` and `update_lanes`
+    /// (with the same `xor` negation), and the remainder and last columns
+    /// use the standalone kernels' scalar expressions, so each column gets
+    /// exactly the bits of the two passes.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fused_row_avx2<const LAST: bool>(
+        px_next: &[f32],
+        py_next: &[f32],
+        v_next: &[f32],
+        inv_theta: f32,
+        cur: &[f32],
+        next: &mut [f32],
+        step: f32,
+        px_row: &mut [f32],
+        py_row: &mut [f32],
+    ) {
+        let w = cur.len();
+        let it = _mm256_set1_ps(inv_theta);
+        let sv = _mm256_set1_ps(step);
+        next[0] = (px_next[0] + next_dy::<LAST>(py_next, py_row, 0)) - v_next[0] * inv_theta;
+        // Lane 7 of `carry` holds term cell `x`, just left of the group.
+        let mut carry = _mm256_set1_ps(next[0]);
+        let mut x = 0usize;
+        // Term cells x+1..=x+8 stay left of the last column (x + 8 <= w − 2),
+        // and so does the update's `t1` read of cur[x + 8].
+        while x + 9 < w {
+            // SAFETY: `x + 9 < w` and the checked slice lengths bound every
+            // unaligned load and store; `py_row[x+1..x+9]` is read as the
+            // term's upper halo before the update stores `py_row[x..x+8]`,
+            // and the next trip reads only beyond it.
+            unsafe {
+                let dx = _mm256_sub_ps(
+                    _mm256_loadu_ps(px_next.as_ptr().add(x + 1)),
+                    _mm256_loadu_ps(px_next.as_ptr().add(x)),
+                );
+                let above = _mm256_loadu_ps(py_row.as_ptr().add(x + 1));
+                let dy = if LAST {
+                    // IEEE sign-flip, as the scalar `−above[x]`.
+                    _mm256_xor_ps(_mm256_set1_ps(-0.0), above)
+                } else {
+                    _mm256_sub_ps(_mm256_loadu_ps(py_next.as_ptr().add(x + 1)), above)
+                };
+                let term = term_lanes(dx, dy, _mm256_loadu_ps(v_next.as_ptr().add(x + 1)), it);
+                _mm256_storeu_ps(next.as_mut_ptr().add(x + 1), term);
+
+                let t = _mm256_loadu_ps(cur.as_ptr().add(x));
+                let t1 = _mm256_sub_ps(_mm256_loadu_ps(cur.as_ptr().add(x + 1)), t);
+                // below = [carry[7], term[0..7)]: swap in carry's high half,
+                // then a per-128-lane byte-align picks one float from it.
+                let inter = _mm256_permute2f128_ps(term, carry, 0x03);
+                let below = _mm256_castsi256_ps(_mm256_alignr_epi8::<12>(
+                    _mm256_castps_si256(term),
+                    _mm256_castps_si256(inter),
+                ));
+                let t2 = _mm256_sub_ps(below, t);
+                let (npx, npy) = update_lanes(
+                    t1,
+                    t2,
+                    _mm256_loadu_ps(px_row.as_ptr().add(x)),
+                    _mm256_loadu_ps(py_row.as_ptr().add(x)),
+                    sv,
+                );
+                _mm256_storeu_ps(px_row.as_mut_ptr().add(x), npx);
+                _mm256_storeu_ps(py_row.as_mut_ptr().add(x), npy);
+                carry = term;
+            }
+            x += 8;
+        }
+        // The rest of the next term row, from still-old `py_row[x+1..]`,
+        // then the current row's remainder and last column: the standalone
+        // kernels' scalar expressions.
+        for c in x + 1..w - 1 {
+            next[c] = ((px_next[c] - px_next[c - 1]) + next_dy::<LAST>(py_next, py_row, c))
+                - v_next[c] * inv_theta;
+        }
+        next[w - 1] =
+            (-px_next[w - 2] + next_dy::<LAST>(py_next, py_row, w - 1)) - v_next[w - 1] * inv_theta;
+        kernels::update_p_row(
+            &cur[x..],
+            Some(&next[x..]),
+            step,
+            &mut px_row[x..],
+            &mut py_row[x..],
         );
     }
 
@@ -693,6 +923,76 @@ mod tests {
         }
     }
 
+    fn bits(s: &[f32]) -> Vec<u32> {
+        s.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// The fused row step on `backend` against the scalar
+    /// `compute_term_row` + `update_p_row` from the same inputs
+    /// `[px_next, py_next, v_next, cur, px_row, py_row]`.
+    fn assert_fused_row_matches_two_pass(
+        backend: KernelBackend,
+        [px_next, py_next, v_next, cur, px_row, py_row]: &[Vec<f32>; 6],
+        next_is_last: bool,
+    ) {
+        let (inv_theta, step) = (4.0f32, 0.248f32);
+        let w = cur.len();
+        let (mut rnext, mut rpx, mut rpy) = (vec![f32::NAN; w], px_row.clone(), py_row.clone());
+        kernels::compute_term_row(
+            px_next,
+            py_next,
+            Some(&rpy),
+            v_next,
+            inv_theta,
+            next_is_last,
+            &mut rnext,
+        );
+        kernels::update_p_row(cur, Some(&rnext), step, &mut rpx, &mut rpy);
+        let (mut next, mut px, mut py) = (vec![f32::NAN; w], px_row.clone(), py_row.clone());
+        backend.term_and_update_row(
+            px_next,
+            py_next,
+            v_next,
+            inv_theta,
+            next_is_last,
+            cur,
+            &mut next,
+            step,
+            &mut px,
+            &mut py,
+        );
+        let ctx = format!("{backend:?} w={w} next_is_last={next_is_last}");
+        assert_eq!(bits(&next), bits(&rnext), "term {ctx}");
+        assert_eq!(bits(&px), bits(&rpx), "px {ctx}");
+        assert_eq!(bits(&py), bits(&rpy), "py {ctx}");
+    }
+
+    #[test]
+    fn fused_term_update_rows_bit_identical_to_two_pass() {
+        // Every entry is +0.0, −0.0 or a random value, so the signed-zero
+        // cases of the boundary columns and of the body lanes all occur.
+        let widths = (2usize..=40).chain([1023, 1024, 1025]);
+        let mut rng = StdRng::seed_from_u64(0xF05ED);
+        for w in widths {
+            for _ in 0..4 {
+                let rows: [Vec<f32>; 6] = std::array::from_fn(|_| {
+                    (0..w)
+                        .map(|_| match rng.gen_range(0..3) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.gen_range(-0.9f32..0.9),
+                        })
+                        .collect()
+                });
+                for next_is_last in [false, true] {
+                    for backend in vector_backends().into_iter().chain([KernelBackend::Scalar]) {
+                        assert_fused_row_matches_two_pass(backend, &rows, next_is_last);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn negative_zero_in_last_row_matches_scalar_sign() {
         // `div_y = −above[x]` must preserve −0.0 semantics; a subtraction
@@ -707,8 +1007,31 @@ mod tests {
             let mut out = vec![1.0f32; w];
             kernels::compute_term_row(&px, &py, Some(&above), &v, 4.0, true, &mut reference);
             backend.compute_term_row(&px, &py, Some(&above), &v, 4.0, true, &mut out);
-            let bits = |s: &[f32]| s.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out), bits(&reference), "{backend:?}");
+        }
+        // The fused row's next term row, with `v_next = +0.0`, `px_next`
+        // alternating `+0.0, −0.0, …` and `div_y = −0.0` (a last row below
+        // `+0.0`, or `−0.0 − +0.0`): a column's term is `−0.0` exactly when
+        // its x part is, which the body lanes and the last column keep only
+        // if they negate (`xor`, `−px[w − 2]`) rather than subtract from
+        // zero.
+        for backend in vector_backends() {
+            for w in 2..=26 {
+                let zeros = vec![0.0f32; w];
+                let rows = [
+                    (0..w)
+                        .map(|x| if x % 2 == 0 { 0.0 } else { -0.0 })
+                        .collect(),
+                    vec![-0.0f32; w],
+                    zeros.clone(),
+                    zeros.clone(),
+                    zeros.clone(),
+                    zeros,
+                ];
+                for next_is_last in [false, true] {
+                    assert_fused_row_matches_two_pass(backend, &rows, next_is_last);
+                }
+            }
         }
     }
 

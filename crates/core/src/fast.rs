@@ -3,9 +3,12 @@
 //! The Exact tier (see [`crate::backend`]) buys bit-identical results
 //! across backends, thread counts and tile schedules by forbidding every
 //! transform that changes rounding: no FMA contraction, no reassociation,
-//! no approximate reciprocals. That contract is also its speed ceiling —
-//! the dual update spends most of its time in one `sqrt` and two IEEE
-//! divides per cell that nothing is allowed to touch.
+//! no approximate reciprocals. That contract is also its speed ceiling.
+//! Its AVX2 row step already fuses the term and update passes into one
+//! traversal, as this tier's does, so what is left is the divider: one
+//! `sqrt` and two IEEE divides per cell that nothing is allowed to touch
+//! (≈ 0.9 ns/px on the AVX2 bench host; see the `x86` module of
+//! [`crate::backend`]).
 //!
 //! The kernels here implement [`crate::ctx::NumericsPolicy::Fast`], which
 //! replaces the byte-equality contract with the validation model of the
@@ -25,9 +28,11 @@
 //! - run true **16-lane AVX-512F bodies** (the Exact tier delegates AVX-512
 //!   to its AVX2 kernels rather than auditing bit-exactness on a third
 //!   vector width);
-//! - fuse the term row and the dual update into **one row step**
-//!   (`fused_term_update_row`), so the two per-row passes share one
-//!   traversal.
+//! - finish the fused term+update row step (`fused_term_update_row`) with
+//!   **masked epilogues**, so the remainder columns stay on the vector
+//!   path. The masked last column computes `0 − px[w − 2]`, which turns
+//!   `−0.0` into `+0.0`; the Exact tier's fused step keeps the scalar
+//!   `−px[w − 2]` tail instead.
 //!
 //! Which iterations run together is not this module's business: every
 //! solve, at both tiers and for every pool size, runs K-deep temporally

@@ -131,10 +131,44 @@ pub fn divergence<R: Real>(px: &Grid<R>, py: &Grid<R>) -> Grid<R> {
 pub fn divergence_into<R: Real>(px: &Grid<R>, py: &Grid<R>, out: &mut Grid<R>) {
     assert_eq!(px.dims(), py.dims(), "px and py must match in size");
     assert_eq!(px.dims(), out.dims(), "output grid must match input size");
+    for y in 0..px.height() {
+        divergence_row(px, py, y, out.row_mut(y));
+    }
+}
+
+/// Row `y` of `div p` into `out`, bit-identical to
+/// `div_x_at(px, x, y) + div_y_at(py, x, y)` at every `x`: the whole
+/// `div_y` row first (one of the four y-boundary shapes), then `div_x` is
+/// added in front of it with the x-boundary rules resolved once per row.
+pub(crate) fn divergence_row<R: Real>(px: &Grid<R>, py: &Grid<R>, y: usize, out: &mut [R]) {
     let (w, h) = px.dims();
-    for y in 0..h {
-        for x in 0..w {
-            out[(x, y)] = div_x_at(px, x, y) + div_y_at(py, x, y);
+    debug_assert_eq!(out.len(), w);
+    let py_row = py.row(y);
+    if h == 1 {
+        // A single row has a zero gradient, so the adjoint is zero too.
+        out.fill(R::ZERO);
+    } else if y == 0 {
+        out.copy_from_slice(py_row);
+    } else if y + 1 < h {
+        for ((d, &p), &a) in out.iter_mut().zip(py_row).zip(py.row(y - 1)) {
+            *d = p - a;
+        }
+    } else {
+        for (d, &a) in out.iter_mut().zip(py.row(y - 1)) {
+            *d = -a;
+        }
+    }
+    let px_row = px.row(y);
+    match w {
+        0 => {}
+        // A single column has a zero gradient, so the adjoint is zero too.
+        1 => out[0] = R::ZERO + out[0],
+        _ => {
+            out[0] = px_row[0] + out[0];
+            for (d, pair) in out[1..w - 1].iter_mut().zip(px_row.windows(2)) {
+                *d = (pair[1] - pair[0]) + *d;
+            }
+            out[w - 1] = -px_row[w - 2] + out[w - 1];
         }
     }
 }
@@ -238,6 +272,36 @@ mod tests {
     fn total_variation_nonnegative_and_zero_on_constant() {
         let u = Grid::new(5, 5, 3.25f64);
         assert_eq!(total_variation(&u), 0.0);
+    }
+
+    #[test]
+    fn row_wise_divergence_and_recover_u_match_pointwise() {
+        use crate::solver::{recover_u, DualField};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xD1F);
+        // Signed zeros next to random values, so every boundary expression
+        // also shows which zero it produces.
+        let mut field = |w: usize, h: usize| {
+            Grid::from_fn(w, h, |_, _| match rng.gen_range(0..3) {
+                0 => 0.0f32,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0f32..1.0),
+            })
+        };
+        let bits = |g: &Grid<f32>| g.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let sizes = [1usize, 2, 3, 5, 7, 8, 9, 13, 15, 16, 17, 31];
+        for (w, h) in sizes.iter().flat_map(|&w| sizes.map(|h| (w, h))) {
+            let p = DualField {
+                px: field(w, h),
+                py: field(w, h),
+            };
+            let v = field(w, h);
+            let div = Grid::from_fn(w, h, |x, y| div_x_at(&p.px, x, y) + div_y_at(&p.py, x, y));
+            assert_eq!(bits(&divergence(&p.px, &p.py)), bits(&div), "div {w}x{h}");
+            let th = 0.25f32;
+            let u = Grid::from_fn(w, h, |x, y| v[(x, y)] - th * div[(x, y)]);
+            assert_eq!(bits(&recover_u(&v, &p, th)), bits(&u), "u {w}x{h}");
+        }
     }
 
     #[test]

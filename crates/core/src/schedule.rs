@@ -28,6 +28,11 @@
 //! `(NumericsPolicy, KernelBackend)` through the `RowStep` trait: the
 //! backend's exact term and update rows at the Exact tier (and for every
 //! `f64` solve), the fused FMA rows of [`crate::fast`] at the Fast tier.
+//! Row fusion is not a Fast-tier privilege: on AVX2 and AVX-512 `f32`
+//! rows both tiers compute the next term row and update the current row
+//! in one traversal, so no term row makes a round trip through memory
+//! between the two passes. What remains of the Exact step's cost is the
+//! divider floor (see the `x86` module of [`crate::backend`]).
 //!
 //! Every row step is a full-width row kernel, and every level of the
 //! wavefront applies the same per-cell operations to the same inputs as a
@@ -103,6 +108,10 @@ pub(crate) trait RowStep<R> {
 }
 
 /// The Exact tier's row step: the backend's term row, then its update row.
+/// On AVX2 and AVX-512 `f32` rows of width ≥ 2 the two run as one fused
+/// traversal ([`KernelBackend::term_and_update_row`]), bound by the
+/// divider; scalar, SSE2, `f64` and one-column rows make the two calls.
+/// The bits are the same either way.
 pub(crate) struct ExactStep<R> {
     pub(crate) backend: KernelBackend,
     pub(crate) inv_theta: R,
@@ -134,9 +143,18 @@ impl<R: Real> RowStep<R> for ExactStep<R> {
         px_row: &mut [R],
         py_row: &mut [R],
     ) {
-        self.term(px_next, py_next, Some(py_row), v_next, next_is_last, next);
-        self.backend
-            .update_p_row(cur, Some(next), self.step_ratio, px_row, py_row);
+        self.backend.term_and_update_row(
+            px_next,
+            py_next,
+            v_next,
+            self.inv_theta,
+            next_is_last,
+            cur,
+            next,
+            self.step_ratio,
+            px_row,
+            py_row,
+        );
     }
 
     fn update_last(&self, cur: &[R], px_row: &mut [R], py_row: &mut [R]) {

@@ -25,7 +25,7 @@ use chambolle_par::ThreadPool;
 
 use crate::cancel::Cancelled;
 use crate::ctx::ExecCtx;
-use crate::ops::{div_x_at, div_y_at, total_variation};
+use crate::ops::{div_x_at, div_y_at, divergence_row, total_variation};
 use crate::params::{ChambolleParams, InvalidParamsError};
 use crate::real::Real;
 use crate::schedule;
@@ -204,15 +204,26 @@ pub fn chambolle_iterate_with_ctx<R: Real>(
 
 /// Recovers the primal solution `u = v − θ·div p` (Algorithm 1, line 9).
 ///
+/// Works one row at a time: the row's `div p` (the row helper of
+/// [`crate::ops::divergence`]) lands in `u`'s row, which is then folded
+/// into `v − θ·div`, bit-identical to the pointwise
+/// `v − θ·(div_x_at + div_y_at)`.
+///
 /// # Panics
 ///
 /// Panics if dimensions differ.
 pub fn recover_u<R: Real>(v: &Grid<R>, p: &DualField<R>, theta: f32) -> Grid<R> {
     assert_eq!(v.dims(), p.dims(), "v and dual field must match in size");
     let th = R::from_f32(theta);
-    Grid::from_fn(v.width(), v.height(), |x, y| {
-        v[(x, y)] - th * (div_x_at(&p.px, x, y) + div_y_at(&p.py, x, y))
-    })
+    let mut u = Grid::new(v.width(), v.height(), R::ZERO);
+    for y in 0..v.height() {
+        let row = u.row_mut(y);
+        divergence_row(&p.px, &p.py, y, row);
+        for (u, &v) in row.iter_mut().zip(v.row(y)) {
+            *u = v - th * *u;
+        }
+    }
+    u
 }
 
 /// Solves the ROF model `min_u TV(u) + ‖u − v‖²/(2θ)` with
